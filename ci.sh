@@ -13,8 +13,10 @@
 # the committed LOADTEST_BASELINE.json), the distributed-equivalence gate
 # (a real coordinator process scatter-gathering /v1/count over real shard
 # workers, bit-identical to the unsharded count even after a worker kill,
-# writing DIST.json), and finally the per-stage wall-clock budget gate
-# against the committed CI_BUDGET.json.
+# writing DIST.json), the perfbench smoke (the layered benchmark's tests
+# and one short cold-count run whose oracle rejects any answer that is not
+# bit-identical to MoCHy-E), and finally the per-stage wall-clock budget
+# gate against the committed CI_BUDGET.json.
 #
 # Everything runs offline against the vendored dependency stubs; every
 # dependency-resolving cargo invocation (fmt does not resolve) passes
@@ -22,11 +24,11 @@
 #
 # PROFILE=debug|release (default release) selects the build/test profile —
 # the GitHub workflow runs both as a matrix. The bench compile check, perf
-# smoke, perf gate, and evolve check only run in the release lane: debug
-# timings would be meaningless against a release baseline. The snapshot
-# round-trip gate and the snapshot-booted serve smoke run in BOTH lanes;
-# the debug lane additionally boots the server from a *text* dataset once,
-# so the legacy load path stays covered.
+# smoke, perf gate, evolve check and perfbench smoke only run in the
+# release lane: debug timings would be meaningless against a release
+# baseline. The snapshot round-trip gate and the snapshot-booted serve
+# smoke run in BOTH lanes; the debug lane additionally boots the server
+# from a *text* dataset once, so the legacy load path stays covered.
 #
 # Every stage is timed; a summary (and the failing stage, if any) is printed
 # on exit, and the collected timings are checked against CI_BUDGET.json so
@@ -223,6 +225,18 @@ if [[ "$PROFILE" == "release" ]]; then
   # records each check; any divergence exits non-zero.
   run_stage distributed-equivalence "${TARGET_DIR}/mochy-exp" dist-check \
     --serve-bin "${TARGET_DIR}/mochy-serve" --shards 3 --workers 2 --json DIST.json
+
+  # perfbench smoke: the layered benchmark's own tests, then one short
+  # cold-count run against the release mochy-serve. Its oracle checks every
+  # exact answer bit-identical to MoCHy-E on the read-back dataset, so the
+  # run exits non-zero on any wrong answer or failed request. Both builds
+  # share this workspace's target directory, where run.sh looks for them.
+  perfbench_smoke() {
+    cargo test --locked --manifest-path perfbench/Cargo.toml -q
+    CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" bash perfbench/run.sh \
+      --workload cold-count --seed 1 --seconds 5 --trace 0
+  }
+  run_stage perfbench-smoke perfbench_smoke
 fi
 
 # Wall-clock budget gate: every stage above must have stayed under its

@@ -16,7 +16,9 @@ use mochy_projection::ProjectedGraph;
 ///
 /// `w_ij`, `w_jk`, `w_ik` are the pairwise intersection sizes; pass 0 for
 /// non-adjacent pairs. The triple intersection is computed from the
-/// hypergraph in `O(min(|e_i|, |e_j|, |e_k|))` time, exactly as in Lemma 2.
+/// hypergraph by scanning the smallest hyperedge and binary-searching the
+/// other two, in `O(min(|e_i|, |e_j|, |e_k|) · log max(|e_i|, |e_j|, |e_k|))`
+/// time.
 #[allow(clippy::too_many_arguments)]
 pub fn classify_triple_with_weights(
     hypergraph: &Hypergraph,

@@ -70,7 +70,7 @@ use rand::SeedableRng;
 
 use crate::adaptive::{mochy_a_plus_adaptive_impl, AdaptiveConfig};
 use crate::count::MotifCounts;
-use crate::exact::{mochy_e, mochy_e_parallel};
+use crate::exact::mochy_e_parallel;
 use crate::general::{mochy_e_general, GeneralCounts};
 use crate::onthefly::{mochy_a_plus_onthefly_impl, OnTheFlyConfig};
 use crate::sample::{mochy_a_parallel, mochy_a_plus_parallel};
@@ -439,13 +439,8 @@ impl MotifEngine {
                     report.num_hyperwedges = Some(num_hyperwedges);
                     (report, projection_time, counting_time)
                 } else {
-                    let (counts, counting_time) = timed(|| {
-                        if threads > 1 {
-                            mochy_e_parallel(hypergraph, &projected, threads)
-                        } else {
-                            mochy_e(hypergraph, &projected)
-                        }
-                    });
+                    let (counts, counting_time) =
+                        timed(|| mochy_e_parallel(hypergraph, &projected, threads));
                     let report = self.base_report(counts, projection, Some(&projected), hypergraph);
                     (report, projection_time, counting_time)
                 }

@@ -1,10 +1,10 @@
 //! MoCHy-E: exact h-motif counting and enumeration (Algorithms 2 and 3).
 
-use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
-use mochy_motif::{MotifCatalog, MotifId};
+use mochy_hypergraph::graph::sorted_intersection_size;
+use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph, NodeId};
+use mochy_motif::{MotifCatalog, MotifId, RegionCardinalities};
 use mochy_projection::ProjectedGraph;
 
-use crate::classify::classify_triple_with_weights;
 use crate::count::MotifCounts;
 
 /// Counts the instances of every h-motif exactly (Algorithm 2, MoCHy-E).
@@ -13,16 +13,10 @@ use crate::count::MotifCounts;
 /// neighbours in the projected graph, the instance `{e_i, e_j, e_k}` is
 /// counted when either `e_j ∩ e_k = ∅` (the instance is open and `e_i` is its
 /// unique "centre") or `i < min(j, k)` (each closed instance is attributed to
-/// its smallest member), so each instance is counted exactly once.
+/// its smallest member), so each instance is counted exactly once. This is
+/// [`mochy_e_parallel`] with one thread.
 pub fn mochy_e(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> MotifCounts {
-    let catalog = MotifCatalog::new();
-    let mut counts = MotifCounts::zero();
-    for i in hypergraph.edge_ids() {
-        count_instances_centred_at(hypergraph, projected, &catalog, i, |motif, _, _| {
-            counts.increment(motif);
-        });
-    }
-    counts
+    mochy_e_parallel(hypergraph, projected, 1)
 }
 
 /// Parallel MoCHy-E (Section 3.4): worker threads claim hyperedge blocks
@@ -30,27 +24,25 @@ pub fn mochy_e(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> MotifCoun
 /// not serialize on one heavy static shard), each accumulating into a
 /// private count vector; the partials are summed at the end. Every raw
 /// contribution is an exact integer-valued `f64` increment, so the output is
-/// bit-identical to [`mochy_e`] for every thread count and schedule.
+/// bit-identical for every thread count and schedule. With
+/// `num_threads <= 1` the single worker runs on the calling thread.
 pub fn mochy_e_parallel(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     num_threads: usize,
 ) -> MotifCounts {
     let n = hypergraph.num_edges();
-    if num_threads <= 1 || n < 2 {
-        return mochy_e(hypergraph, projected);
-    }
     let partials = map_reduce_chunks(
         n,
         num_threads,
         default_chunk_size(n, num_threads),
-        || (MotifCatalog::new(), MotifCounts::zero()),
-        |(catalog, local), range| {
+        || (CentreScratch::new(hypergraph), MotifCounts::zero()),
+        |(scratch, local), range| {
             for i in range {
                 count_instances_centred_at(
                     hypergraph,
                     projected,
-                    catalog,
+                    scratch,
                     i as EdgeId,
                     |motif, _, _| local.increment(motif),
                 );
@@ -72,9 +64,9 @@ pub fn mochy_e_enumerate<F>(hypergraph: &Hypergraph, projected: &ProjectedGraph,
 where
     F: FnMut(EdgeId, EdgeId, EdgeId, MotifId),
 {
-    let catalog = MotifCatalog::new();
+    let mut scratch = CentreScratch::new(hypergraph);
     for i in hypergraph.edge_ids() {
-        count_instances_centred_at(hypergraph, projected, &catalog, i, |motif, j, k| {
+        count_instances_centred_at(hypergraph, projected, &mut scratch, i, |motif, j, k| {
             visit(i, j, k, motif);
         });
     }
@@ -93,41 +85,111 @@ pub fn mochy_e_per_edge(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> 
     per_edge
 }
 
+/// Per-worker state of [`count_instances_centred_at`]: the motif catalog
+/// plus O(|E|)·4 + O(|V|) bytes of dense scratch, allocated once per count
+/// and reused for every centre the worker visits.
+pub(crate) struct CentreScratch {
+    catalog: MotifCatalog,
+    /// `weights[k] = w_jk` for the neighbour `e_j` being paired, else 0.
+    weights: Vec<u32>,
+    /// `in_centre[v]` is set exactly for the nodes of the current centre.
+    in_centre: Vec<bool>,
+    /// `e_i ∩ e_j` for the current centre and neighbour, ascending.
+    core: Vec<NodeId>,
+}
+
+impl CentreScratch {
+    /// An all-zero scratch sized for `hypergraph`.
+    pub(crate) fn new(hypergraph: &Hypergraph) -> Self {
+        Self {
+            catalog: MotifCatalog::new(),
+            weights: vec![0; hypergraph.num_edges()],
+            in_centre: vec![false; hypergraph.num_nodes()],
+            core: Vec::new(),
+        }
+    }
+}
+
 /// Shared inner loop of Algorithms 2 and 3: visits every instance attributed
 /// to centre hyperedge `i` exactly once, calling `emit(motif, j, k)`. Also
 /// reused by the sharded scatter-gather path ([`crate::shard`]), whose
 /// boundary pass filters the emitted instances by shard membership.
+///
+/// For each neighbour `e_j` with pairs left, the weights of `N(j)` are
+/// scattered into `scratch`, so every `w_jk` is one array read. The first
+/// closed pair of `e_j` builds `e_i ∩ e_j` from the centre's node marks;
+/// each triple intersection then probes that short list against `e_k`.
+/// Classification goes through [`RegionCardinalities::from_intersections`]
+/// exactly as in Lemma 2.
+///
+/// Invariant: `scratch` is all-zero (no weights, no marks) between calls.
+/// Every call clears exactly the entries it wrote, so its cost never
+/// depends on `|E|` or `|V|`.
 pub(crate) fn count_instances_centred_at<F>(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
-    catalog: &MotifCatalog,
+    scratch: &mut CentreScratch,
     i: EdgeId,
     mut emit: F,
 ) where
     F: FnMut(MotifId, EdgeId, EdgeId),
 {
     let neighbors = projected.neighbors(i);
+    let centre = hypergraph.edge(i);
+    for &v in centre {
+        scratch.in_centre[v as usize] = true;
+    }
     for (a, &(j, w_ij)) in neighbors.iter().enumerate() {
-        for &(k, w_ik) in &neighbors[a + 1..] {
-            let w_jk = projected.weight(j, k).unwrap_or(0);
+        let rest = &neighbors[a + 1..];
+        if rest.is_empty() {
+            break;
+        }
+        let row_j = projected.neighbors(j);
+        for &(k, w_jk) in row_j {
+            scratch.weights[k as usize] = w_jk;
+        }
+        // `e_i ∩ e_j` has `w_ij ≥ 1` nodes, so an empty list means "not
+        // built yet".
+        scratch.core.clear();
+        for &(k, w_ik) in rest {
+            let w_jk = scratch.weights[k as usize];
             // Count open instances at their unique centre; count closed
-            // instances only when the centre has the smallest identifier.
-            if w_jk != 0 && i >= j.min(k) {
+            // instances only when the centre has the smallest identifier
+            // (neighbourhoods are sorted, so `j < k`).
+            if w_jk != 0 && i >= j {
                 continue;
             }
-            if let Some(motif) = classify_triple_with_weights(
-                hypergraph,
-                catalog,
-                i,
-                j,
-                k,
+            let triple = if w_jk == 0 {
+                // The triple intersection is contained in `e_j ∩ e_k`.
+                0
+            } else {
+                if scratch.core.is_empty() {
+                    let marks = &scratch.in_centre;
+                    let core = hypergraph.edge(j).iter().filter(|&&v| marks[v as usize]);
+                    scratch.core.extend(core);
+                }
+                sorted_intersection_size(&scratch.core, hypergraph.edge(k))
+            };
+            let motif = RegionCardinalities::from_intersections(
+                centre.len(),
+                hypergraph.edge_size(j),
+                hypergraph.edge_size(k),
                 w_ij as usize,
                 w_jk as usize,
                 w_ik as usize,
-            ) {
+                triple,
+            )
+            .and_then(|regions| scratch.catalog.classify(&regions));
+            if let Some(motif) = motif {
                 emit(motif, j, k);
             }
         }
+        for &(k, _) in row_j {
+            scratch.weights[k as usize] = 0;
+        }
+    }
+    for &v in centre {
+        scratch.in_centre[v as usize] = false;
     }
 }
 
@@ -158,6 +220,7 @@ pub fn brute_force_counts(hypergraph: &Hypergraph) -> MotifCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mochy_datagen::hub_and_skew;
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
     use rand::prelude::*;
@@ -213,22 +276,25 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random_hypergraphs() {
-        for seed in 0..6u64 {
-            let h = random_hypergraph(seed, 18, 22, 5);
+        let inputs = (0..6u64)
+            .map(|seed| (format!("seed {seed}"), random_hypergraph(seed, 18, 22, 5)))
+            .chain([("hub-and-skew".to_string(), hub_and_skew(0))]);
+        for (label, h) in inputs {
             let proj = project(&h);
             let fast = mochy_e(&h, &proj);
             let brute = brute_force_counts(&h);
-            assert_eq!(fast, brute, "seed {seed}");
+            assert_eq!(fast, brute, "{label}");
         }
     }
 
     #[test]
     fn parallel_matches_sequential() {
-        let h = random_hypergraph(42, 25, 40, 6);
-        let proj = project(&h);
-        let sequential = mochy_e(&h, &proj);
-        for threads in [1, 2, 3, 4, 8] {
-            assert_eq!(mochy_e_parallel(&h, &proj, threads), sequential);
+        for h in [random_hypergraph(42, 25, 40, 6), hub_and_skew(1)] {
+            let proj = project(&h);
+            let sequential = mochy_e(&h, &proj);
+            for threads in [1, 2, 3, 4, 8] {
+                assert_eq!(mochy_e_parallel(&h, &proj, threads), sequential);
+            }
         }
     }
 

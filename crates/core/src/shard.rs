@@ -40,11 +40,11 @@ use mochy_hypergraph::{
     default_chunk_size, edge_slice, map_reduce_chunks, shard_boundaries, EdgeId, Hypergraph,
 };
 use mochy_json::JsonValue;
-use mochy_motif::{MotifCatalog, NUM_MOTIFS};
+use mochy_motif::NUM_MOTIFS;
 use mochy_projection::{project, project_parallel, ProjectedGraph};
 
 use crate::count::MotifCounts;
-use crate::exact::{count_instances_centred_at, mochy_e, mochy_e_parallel};
+use crate::exact::{count_instances_centred_at, mochy_e_parallel, CentreScratch};
 
 /// One shard's contribution to a sharded count: everything needed for the
 /// order-fixed gather, kept split by phase so diagnostics (and the
@@ -230,18 +230,18 @@ pub fn count_sharded(
         default_chunk_size(num_edges, threads),
         || {
             (
-                MotifCatalog::new(),
+                CentreScratch::new(hypergraph),
                 vec![(MotifCounts::zero(), 0usize); shards],
             )
         },
-        |(catalog, locals), range| {
+        |(scratch, locals), range| {
             for i in range {
                 let centre = i as EdgeId;
                 let home = shard_of[i] as usize;
                 count_instances_centred_at(
                     hypergraph,
                     projected,
-                    catalog,
+                    scratch,
                     centre,
                     |motif, j, k| {
                         if shard_of[j as usize] == shard_of[i]
@@ -297,11 +297,7 @@ fn internal_partial(
     } else {
         project(&local)
     };
-    let internal_counts = if threads > 1 {
-        mochy_e_parallel(&local, &local_projected, threads)
-    } else {
-        mochy_e(&local, &local_projected)
-    };
+    let internal_counts = mochy_e_parallel(&local, &local_projected, threads);
     ShardPartial {
         shard,
         edges: range,
@@ -352,15 +348,15 @@ pub fn count_shard_partial(
         span_len,
         threads,
         default_chunk_size(span_len, threads),
-        || (MotifCatalog::new(), MotifCounts::zero(), 0usize),
-        |(catalog, boundary, cross), chunk| {
+        || (CentreScratch::new(hypergraph), MotifCounts::zero(), 0usize),
+        |(scratch, boundary, cross), chunk| {
             for offset in chunk {
                 let i = range.start + offset;
                 let centre = i as EdgeId;
                 count_instances_centred_at(
                     hypergraph,
                     projected,
-                    catalog,
+                    scratch,
                     centre,
                     |motif, j, k| {
                         if shard_of[j as usize] == shard_of[i]
@@ -405,6 +401,7 @@ pub fn merge_partials(partials: &[ShardPartial]) -> (MotifCounts, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::mochy_e;
     use mochy_hypergraph::HypergraphBuilder;
     use rand::prelude::*;
     use rand::rngs::StdRng;

@@ -39,6 +39,7 @@
 
 use std::time::{Duration, Instant};
 
+use mochy_hypergraph::graph::sorted_triple_intersection_size;
 use mochy_hypergraph::{DynamicHypergraph, EdgeId, Hypergraph, HypergraphError, NodeId};
 use mochy_motif::{MotifCatalog, MotifId, RegionCardinalities};
 use mochy_projection::{project, ProjectionOverlay, WeightedNeighbor};
@@ -307,22 +308,11 @@ impl StreamingEngine {
     }
 
     fn triple_intersection_size(&self, a: EdgeId, b: EdgeId, c: EdgeId) -> usize {
-        let (a, b, c) = (
+        sorted_triple_intersection_size(
             self.hypergraph.edge(a).expect("live edge"),
             self.hypergraph.edge(b).expect("live edge"),
             self.hypergraph.edge(c).expect("live edge"),
-        );
-        let (smallest, other1, other2) = if a.len() <= b.len() && a.len() <= c.len() {
-            (a, b, c)
-        } else if b.len() <= a.len() && b.len() <= c.len() {
-            (b, a, c)
-        } else {
-            (c, a, b)
-        };
-        smallest
-            .iter()
-            .filter(|&&v| other1.binary_search(&v).is_ok() && other2.binary_search(&v).is_ok())
-            .count()
+        )
     }
 }
 

@@ -7,9 +7,10 @@
 //! close — to the unsharded run for every shard count, the same guarantee
 //! thread invariance already pins for thread counts. This suite asserts
 //! K ∈ {1, 2, 4, 8} == unsharded on the paper's Figure 2 example and on
-//! every bench dataset, at `threads = 1` and at the pooled thread count
-//! (`MOCHY_POOL_THREADS`, which CI pins to 2 and to 8), so shard and thread
-//! variation are exercised jointly inside the existing invariance stages.
+//! every bench dataset, and K ∈ {2, 3, 7} on a hub-and-skew fixture, at
+//! `threads = 1` and at the pooled thread count (`MOCHY_POOL_THREADS`,
+//! which CI pins to 2 and to 8), so shard and thread variation are
+//! exercised jointly inside the existing invariance stages.
 
 use mochy_core::engine::{CountConfig, CountReport, Method};
 use mochy_hypergraph::{Hypergraph, HypergraphBuilder};
@@ -49,10 +50,15 @@ fn exact(threads: usize, shards: usize, hypergraph: &Hypergraph) -> CountReport 
         .count(hypergraph)
 }
 
-fn assert_shard_invariant(hypergraph: &Hypergraph, label: &str, thread_counts: &[usize]) {
+fn assert_shard_invariant(
+    hypergraph: &Hypergraph,
+    label: &str,
+    thread_counts: &[usize],
+    shard_counts: &[usize],
+) {
     for &threads in thread_counts {
         let baseline = exact(threads, 1, hypergraph);
-        for shards in SHARD_COUNTS {
+        for &shards in shard_counts {
             let sharded = exact(threads, shards, hypergraph);
             assert_eq!(
                 baseline, sharded,
@@ -81,7 +87,20 @@ fn assert_shard_invariant(hypergraph: &Hypergraph, label: &str, thread_counts: &
 
 #[test]
 fn exact_counting_is_shard_count_invariant_on_figure2() {
-    assert_shard_invariant(&figure2(), "figure2", &[1, pooled_threads()]);
+    assert_shard_invariant(&figure2(), "figure2", &[1, pooled_threads()], &SHARD_COUNTS);
+}
+
+#[test]
+fn exact_counting_is_shard_count_invariant_on_hub_and_skew() {
+    // A hub edge, duplicate copies, singletons and high-degree nodes (see
+    // `mochy_datagen::hub_and_skew`), at shard counts whose boundaries fall
+    // elsewhere than the powers of two above.
+    assert_shard_invariant(
+        &mochy_datagen::hub_and_skew(2),
+        "hub-and-skew",
+        &[1, pooled_threads()],
+        &[2, 3, 7],
+    );
 }
 
 #[test]
@@ -92,7 +111,7 @@ fn exact_counting_is_shard_count_invariant_on_every_bench_dataset() {
     // shard×thread matrix on one dataset — repeating the full matrix on all
     // five here would only add debug-lane minutes, not coverage.
     for (name, hypergraph) in mochy_bench::bench_datasets() {
-        assert_shard_invariant(&hypergraph, name, &[pooled_threads()]);
+        assert_shard_invariant(&hypergraph, name, &[pooled_threads()], &SHARD_COUNTS);
     }
 }
 

@@ -14,18 +14,21 @@
 //!   experiment binaries.
 //! - [`corrupt`] — fake-hyperedge generation for the hyperedge-prediction
 //!   task (Table 4).
+//! - [`stress`] — adversarial shapes for exact-counting tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corrupt;
 pub mod domains;
+pub mod stress;
 pub mod suite;
 pub mod temporal;
 pub mod util;
 
 pub use corrupt::corrupt_hyperedge;
 pub use domains::{generate, DomainKind, GeneratorConfig};
+pub use stress::hub_and_skew;
 pub use suite::{standard_suite, DatasetSpec, SuiteScale};
 pub use temporal::{
     temporal_coauthorship, temporal_event_stream, EdgeEvent, EventStreamConfig, TemporalConfig,

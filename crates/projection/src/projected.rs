@@ -17,8 +17,9 @@ pub type WeightedNeighbor = (EdgeId, u32);
 /// The projected graph `G¯ = (E, ∧, ω)` of a hypergraph (Section 2.1).
 ///
 /// Adjacency is stored in CSR form for both endpoints of every hyperwedge,
-/// with each neighbourhood sorted by neighbour identifier, so that hyperwedge
-/// weights can be looked up with a binary search.
+/// with each neighbourhood sorted by neighbour identifier. [`Self::weight`]
+/// serves one-off lookups with a binary search; MoCHy-E instead scatters a
+/// whole row into a dense per-worker array and reads each weight from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProjectedGraph {
     adjacency: Csr<WeightedNeighbor>,
