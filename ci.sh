@@ -13,10 +13,11 @@
 # the committed LOADTEST_BASELINE.json), the distributed-equivalence gate
 # (a real coordinator process scatter-gathering /v1/count over real shard
 # workers, bit-identical to the unsharded count even after a worker kill,
-# writing DIST.json), the perfbench smoke (the layered benchmark's tests
-# and one short cold-count run whose oracle rejects any answer that is not
-# bit-identical to MoCHy-E), and finally the per-stage wall-clock budget
-# gate against the committed CI_BUDGET.json.
+# writing DIST.json), the perfbench smoke (the layered benchmark's tests,
+# one short cold-count run and one short fanout run through real
+# coordinator and worker processes, whose oracle rejects any answer that
+# is not bit-identical to MoCHy-E), and finally the per-stage wall-clock
+# budget gate against the committed CI_BUDGET.json.
 #
 # Everything runs offline against the vendored dependency stubs; every
 # dependency-resolving cargo invocation (fmt does not resolve) passes
@@ -227,14 +228,20 @@ if [[ "$PROFILE" == "release" ]]; then
     --serve-bin "${TARGET_DIR}/mochy-serve" --shards 3 --workers 2 --json DIST.json
 
   # perfbench smoke: the layered benchmark's own tests, then one short
-  # cold-count run against the release mochy-serve. Its oracle checks every
-  # exact answer bit-identical to MoCHy-E on the read-back dataset, so the
-  # run exits non-zero on any wrong answer or failed request. Both builds
-  # share this workspace's target directory, where run.sh looks for them.
+  # cold-count run and one short fanout run against the release
+  # mochy-serve. The fanout run boots a real coordinator over real worker
+  # processes, so the count-shard wire format is exercised end to end. The
+  # oracle checks every exact answer bit-identical to MoCHy-E on the
+  # read-back dataset, so a run exits non-zero on any wrong answer or
+  # failed request. Both builds share this workspace's target directory,
+  # where run.sh looks for them.
   perfbench_smoke() {
     cargo test --locked --manifest-path perfbench/Cargo.toml -q
-    CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" bash perfbench/run.sh \
-      --workload cold-count --seed 1 --seconds 5 --trace 0
+    local workload
+    for workload in cold-count fanout; do
+      CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" bash perfbench/run.sh \
+        --workload "$workload" --seed 1 --seconds 5 --trace 0
+    done
   }
   run_stage perfbench-smoke perfbench_smoke
 fi

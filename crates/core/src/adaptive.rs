@@ -12,10 +12,11 @@
 use mochy_hypergraph::Hypergraph;
 use mochy_motif::{MotifId, NUM_MOTIFS};
 use mochy_projection::ProjectedGraph;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::count::MotifCounts;
-use crate::sample::mochy_a_plus_impl;
+use crate::sample::mochy_a_plus_with_rng;
 
 /// Configuration of the adaptive estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,34 +92,21 @@ impl AdaptiveOutcome {
 
 /// Runs MoCHy-A+ in batches until the relative standard error of the total
 /// count estimate drops below `config.target_relative_error` (or
-/// `config.max_batches` is reached).
-/// Prefer [`crate::engine::MotifEngine`] with [`crate::engine::Method::Adaptive`],
-/// which owns RNG construction from a seed.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MotifEngine with Method::Adaptive instead; seeds replace RNG values"
-)]
-pub fn mochy_a_plus_adaptive<R: Rng + ?Sized>(
+/// `config.max_batches` is reached). Every batch draws from one RNG stream
+/// seeded with `seed`, so the outcome is a pure function of the inputs.
+pub(crate) fn mochy_a_plus_adaptive_seeded(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     config: AdaptiveConfig,
-    rng: &mut R,
+    seed: u64,
 ) -> AdaptiveOutcome {
-    mochy_a_plus_adaptive_impl(hypergraph, projected, config, rng)
-}
-
-pub(crate) fn mochy_a_plus_adaptive_impl<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
-    config: AdaptiveConfig,
-    rng: &mut R,
-) -> AdaptiveOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
     let config = config.normalized();
     let mut batch_estimates: Vec<MotifCounts> = Vec::with_capacity(config.min_batches);
     let mut converged = false;
 
     while batch_estimates.len() < config.max_batches {
-        let batch = mochy_a_plus_impl(hypergraph, projected, config.batch_size, rng);
+        let batch = mochy_a_plus_with_rng(hypergraph, projected, config.batch_size, &mut rng);
         batch_estimates.push(batch);
         if batch_estimates.len() < config.min_batches {
             continue;
@@ -183,16 +171,11 @@ fn total_relative_standard_error(batches: &[MotifCounts]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    // The tests exercise the paper-numbered wrappers on purpose: they are
-    // the citable algorithm entry points the engine builds on.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::exact::mochy_e;
     use mochy_hypergraph::{HypergraphBuilder, NodeId};
     use mochy_projection::project;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::Rng;
 
     fn random_hypergraph(seed: u64) -> Hypergraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -222,8 +205,7 @@ mod tests {
             max_batches: 30,
             target_relative_error: 0.02,
         };
-        let mut rng = StdRng::seed_from_u64(99);
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut rng);
+        let outcome = mochy_a_plus_adaptive_seeded(&h, &projected, config, 99);
         assert!(outcome.batches >= 3);
         assert!(outcome.samples == outcome.batches * 2_000);
         let relative = exact.relative_error(&outcome.estimate);
@@ -247,10 +229,8 @@ mod tests {
             target_relative_error: 0.25,
             ..tight
         };
-        let tight_outcome =
-            mochy_a_plus_adaptive(&h, &projected, tight, &mut StdRng::seed_from_u64(7));
-        let loose_outcome =
-            mochy_a_plus_adaptive(&h, &projected, loose, &mut StdRng::seed_from_u64(7));
+        let tight_outcome = mochy_a_plus_adaptive_seeded(&h, &projected, tight, 7);
+        let loose_outcome = mochy_a_plus_adaptive_seeded(&h, &projected, loose, 7);
         assert!(loose_outcome.batches <= tight_outcome.batches);
         assert!(loose_outcome.converged);
         assert!(loose_outcome.total_relative_error <= 0.25);
@@ -266,7 +246,7 @@ mod tests {
             max_batches: 5,
             target_relative_error: 0.0, // unreachable -> always hits the cap
         };
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut StdRng::seed_from_u64(11));
+        let outcome = mochy_a_plus_adaptive_seeded(&h, &projected, config, 11);
         assert_eq!(outcome.batches, 5);
         assert!(!outcome.converged);
     }
@@ -282,7 +262,7 @@ mod tests {
             max_batches: 6,
             target_relative_error: 0.0,
         };
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut StdRng::seed_from_u64(21));
+        let outcome = mochy_a_plus_adaptive_seeded(&h, &projected, config, 21);
         // With z = 3 the normal interval should cover the exact value for the
         // overwhelming majority of motifs (small-sample noise allows a few
         // misses among the 26).
@@ -311,7 +291,7 @@ mod tests {
             max_batches: 0,
             target_relative_error: -1.0,
         };
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut StdRng::seed_from_u64(31));
+        let outcome = mochy_a_plus_adaptive_seeded(&h, &projected, config, 31);
         assert!(outcome.batches >= 2);
         assert!(outcome.samples >= outcome.batches);
     }

@@ -65,14 +65,12 @@ use std::time::{Duration, Instant};
 use mochy_hypergraph::Hypergraph;
 use mochy_motif::NUM_MOTIFS;
 use mochy_projection::{project, project_parallel, MemoPolicy, MemoStats, ProjectedGraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::adaptive::{mochy_a_plus_adaptive_impl, AdaptiveConfig};
+use crate::adaptive::{mochy_a_plus_adaptive_seeded, AdaptiveConfig};
 use crate::count::MotifCounts;
 use crate::exact::mochy_e_parallel;
 use crate::general::{mochy_e_general, GeneralCounts};
-use crate::onthefly::{mochy_a_plus_onthefly_impl, OnTheFlyConfig};
+use crate::onthefly::{mochy_a_plus_onthefly_seeded, OnTheFlyConfig};
 use crate::sample::{mochy_a_parallel, mochy_a_plus_parallel};
 
 /// Which counting algorithm the engine runs.
@@ -189,11 +187,11 @@ pub struct CountConfig {
     pub generalized_k: Option<u32>,
     /// Number of contiguous hyperedge shards for [`Method::Exact`]. `0` and
     /// `1` both mean unsharded; `K > 1` routes through the scatter-gather
-    /// path ([`crate::shard`]): per-shard internal counting plus a
-    /// deterministic boundary exchange, merged order-fixed. The merged
-    /// report is bit-identical to the unsharded run for every `K`
-    /// (shard-count invariance, pinned by `shard_invariance.rs` and the
-    /// `shard-check` CI gate).
+    /// path ([`crate::shard`]): one MoCHy-E pass per shard over the centres
+    /// in its edge span, merged order-fixed. The merged report is
+    /// bit-identical to the unsharded run for every `K` (shard-count
+    /// invariance, pinned by `shard_invariance.rs` and the `shard-check` CI
+    /// gate).
     pub shards: usize,
 }
 
@@ -420,11 +418,11 @@ impl MotifEngine {
                 let ((projected, projection), projection_time) =
                     timed(|| self.eager_projection(hypergraph, threads));
                 if self.config.shards > 1 {
-                    // Scatter-gather: per-shard internal counting plus the
-                    // boundary exchange, merged order-fixed. The merged
-                    // counts and hyperwedge total are bit-identical to the
-                    // unsharded branch below, so the report compares equal
-                    // across shard counts (PartialEq ignores timings).
+                    // Scatter-gather: one MoCHy-E pass per shard over the
+                    // centres in its edge span, merged order-fixed. The
+                    // merged counts and hyperwedge total are bit-identical
+                    // to the unsharded branch below, so the report compares
+                    // equal across shard counts (PartialEq ignores timings).
                     let ((counts, num_hyperwedges), counting_time) = timed(|| {
                         let partials = crate::shard::count_sharded(
                             hypergraph,
@@ -521,9 +519,8 @@ impl MotifEngine {
                 // accelerates the projection.
                 let ((projected, projection), projection_time) =
                     timed(|| self.eager_projection(hypergraph, threads));
-                let mut rng = StdRng::seed_from_u64(seed);
                 let (outcome, counting_time) = timed(|| {
-                    mochy_a_plus_adaptive_impl(hypergraph, &projected, adaptive_config, &mut rng)
+                    mochy_a_plus_adaptive_seeded(hypergraph, &projected, adaptive_config, seed)
                 });
                 let mut report =
                     self.base_report(outcome.estimate, projection, Some(&projected), hypergraph);
@@ -539,7 +536,6 @@ impl MotifEngine {
                 budget_entries,
                 policy,
             } => {
-                let mut rng = StdRng::seed_from_u64(seed);
                 let config = OnTheFlyConfig {
                     num_samples: samples,
                     budget_entries,
@@ -548,7 +544,7 @@ impl MotifEngine {
                 // No projection stage: neighbourhoods are computed on demand
                 // inside the sampling loop, so the whole run is counting.
                 let (outcome, counting_time) =
-                    timed(|| mochy_a_plus_onthefly_impl(hypergraph, config, &mut rng));
+                    timed(|| mochy_a_plus_onthefly_seeded(hypergraph, config, seed));
                 let projection = ProjectionMode::Lazy {
                     budget_entries,
                     policy,

@@ -1,5 +1,7 @@
 //! MoCHy-E: exact h-motif counting and enumeration (Algorithms 2 and 3).
 
+use std::ops::Range;
+
 use mochy_hypergraph::graph::sorted_intersection_size;
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph, NodeId};
 use mochy_motif::{MotifCatalog, MotifId, RegionCardinalities};
@@ -31,19 +33,38 @@ pub fn mochy_e_parallel(
     projected: &ProjectedGraph,
     num_threads: usize,
 ) -> MotifCounts {
-    let n = hypergraph.num_edges();
+    mochy_e_centres(
+        hypergraph,
+        projected,
+        0..hypergraph.num_edges(),
+        num_threads,
+    )
+}
+
+/// MoCHy-E restricted to the centre hyperedges `centres`: counts exactly
+/// the instances the attribution rule assigns to a centre in the range.
+/// Counts over disjoint ranges covering `0..|E|` sum to [`mochy_e`]'s, which
+/// is how sharded counting ([`crate::shard`]) splits the work. `projected`
+/// must be the projection of the whole `hypergraph`.
+pub(crate) fn mochy_e_centres(
+    hypergraph: &Hypergraph,
+    projected: &ProjectedGraph,
+    centres: Range<usize>,
+    num_threads: usize,
+) -> MotifCounts {
+    let n = centres.len();
     let partials = map_reduce_chunks(
         n,
         num_threads,
         default_chunk_size(n, num_threads),
         || (CentreScratch::new(hypergraph), MotifCounts::zero()),
         |(scratch, local), range| {
-            for i in range {
+            for offset in range {
                 count_instances_centred_at(
                     hypergraph,
                     projected,
                     scratch,
-                    i as EdgeId,
+                    (centres.start + offset) as EdgeId,
                     |motif, _, _| local.increment(motif),
                 );
             }
@@ -88,7 +109,7 @@ pub fn mochy_e_per_edge(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> 
 /// Per-worker state of [`count_instances_centred_at`]: the motif catalog
 /// plus O(|E|)·4 + O(|V|) bytes of dense scratch, allocated once per count
 /// and reused for every centre the worker visits.
-pub(crate) struct CentreScratch {
+struct CentreScratch {
     catalog: MotifCatalog,
     /// `weights[k] = w_jk` for the neighbour `e_j` being paired, else 0.
     weights: Vec<u32>,
@@ -100,7 +121,7 @@ pub(crate) struct CentreScratch {
 
 impl CentreScratch {
     /// An all-zero scratch sized for `hypergraph`.
-    pub(crate) fn new(hypergraph: &Hypergraph) -> Self {
+    fn new(hypergraph: &Hypergraph) -> Self {
         Self {
             catalog: MotifCatalog::new(),
             weights: vec![0; hypergraph.num_edges()],
@@ -111,9 +132,7 @@ impl CentreScratch {
 }
 
 /// Shared inner loop of Algorithms 2 and 3: visits every instance attributed
-/// to centre hyperedge `i` exactly once, calling `emit(motif, j, k)`. Also
-/// reused by the sharded scatter-gather path ([`crate::shard`]), whose
-/// boundary pass filters the emitted instances by shard membership.
+/// to centre hyperedge `i` exactly once, calling `emit(motif, j, k)`.
 ///
 /// For each neighbour `e_j` with pairs left, the weights of `N(j)` are
 /// scattered into `scratch`, so every `w_jk` is one array read. The first
@@ -125,7 +144,7 @@ impl CentreScratch {
 /// Invariant: `scratch` is all-zero (no weights, no marks) between calls.
 /// Every call clears exactly the entries it wrote, so its cost never
 /// depends on `|E|` or `|V|`.
-pub(crate) fn count_instances_centred_at<F>(
+fn count_instances_centred_at<F>(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     scratch: &mut CentreScratch,

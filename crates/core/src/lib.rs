@@ -24,14 +24,15 @@
 //!   instances; [`exact::mochy_e_enumerate`] — Algorithm 3, instance
 //!   enumeration; [`exact::mochy_e_per_edge`] — per-hyperedge participation
 //!   counts (used as prediction features in Section 4.4).
-//! - [`sample::mochy_a`] — Algorithm 4, unbiased approximate counting by
-//!   hyperedge sampling.
-//! - [`sample::mochy_a_plus`] — Algorithm 5, unbiased approximate counting by
-//!   hyperwedge sampling.
-//! - Parallel variants of all of the above (Section 3.4), implemented with
-//!   scoped threads and per-thread accumulators.
-//! - [`onthefly::mochy_a_plus_onthefly`] — MoCHy-A+ over a lazily projected,
-//!   budget-memoized graph (Section 3.4, Figure 11).
+//! - [`sample::mochy_a_parallel`] — Algorithm 4, unbiased approximate
+//!   counting by hyperedge sampling.
+//! - [`sample::mochy_a_plus_parallel`] — Algorithm 5, unbiased approximate
+//!   counting by hyperwedge sampling.
+//! - [`exact::mochy_e_parallel`] and the two samplers run on scoped worker
+//!   threads with per-thread accumulators (Section 3.4); the samplers take
+//!   a seed, and their estimates do not depend on the thread count.
+//! - [`onthefly`] — MoCHy-A+ over a lazily projected, budget-memoized graph
+//!   (Section 3.4, Figure 11), run through `Method::OnTheFly`.
 //! - [`profile`] — significance (Eq. 1) and characteristic profiles (Eq. 2).
 //! - [`variance`] — the exact variance formulas of Theorems 2 and 4, computed
 //!   from instance-overlap statistics; used to validate the estimators.
@@ -43,8 +44,8 @@
 //!   incrementally under hyperedge insertions and deletions, over a mutable
 //!   projection overlay (evolving-hypergraph workloads).
 //! - [`shard`] — scatter-gather MoCHy-E over contiguous hyperedge shards:
-//!   per-shard internal counting plus a deterministic boundary exchange,
-//!   with an order-fixed merge bit-identical to the unsharded run
+//!   one pass per shard over the centres in its edge span, with an
+//!   order-fixed merge bit-identical to the unsharded run
 //!   (`CountConfig::shards`).
 
 #![forbid(unsafe_code)]
@@ -65,6 +66,7 @@ pub mod shard;
 pub mod streaming;
 pub mod variance;
 
+pub use adaptive::{AdaptiveConfig, AdaptiveOutcome};
 pub use classify::classify_triple;
 pub use count::MotifCounts;
 pub use engine::{CountConfig, CountReport, Method, MotifEngine, ProjectionMode};
@@ -76,11 +78,3 @@ pub use profile::{characteristic_profile, significance, SignificanceOptions};
 pub use sample::{mochy_a_parallel, mochy_a_plus_parallel};
 pub use shard::{count_sharded, merge_partials, ShardPartial};
 pub use streaming::{StreamConfig, StreamStats, StreamingEngine};
-
-#[allow(deprecated)]
-pub use adaptive::mochy_a_plus_adaptive;
-pub use adaptive::{AdaptiveConfig, AdaptiveOutcome};
-#[allow(deprecated)]
-pub use onthefly::mochy_a_plus_onthefly;
-#[allow(deprecated)]
-pub use sample::{mochy_a, mochy_a_plus};

@@ -10,7 +10,8 @@
 use mochy_hypergraph::{EdgeId, Hypergraph};
 use mochy_motif::MotifCatalog;
 use mochy_projection::{LazyProjection, MemoPolicy, MemoStats};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::classify::classify_triple_with_weights;
 use crate::count::MotifCounts;
@@ -46,26 +47,14 @@ pub struct OnTheFlyOutcome {
 /// (O(|E|) memory), which is required to sample hyperwedges uniformly; the
 /// per-sample neighbourhood look-ups then go through a [`LazyProjection`]
 /// with the configured budget and policy. Estimates are identical in
-/// distribution to [`crate::sample::mochy_a_plus`].
-/// Prefer [`crate::engine::MotifEngine`] with [`crate::engine::Method::OnTheFly`],
-/// which owns RNG construction from a seed.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MotifEngine with Method::OnTheFly instead; seeds replace RNG values"
-)]
-pub fn mochy_a_plus_onthefly<R: Rng + ?Sized>(
+/// distribution to [`crate::sample::mochy_a_plus_parallel`]. Samples draw
+/// from one RNG stream seeded with `seed`.
+pub(crate) fn mochy_a_plus_onthefly_seeded(
     hypergraph: &Hypergraph,
     config: OnTheFlyConfig,
-    rng: &mut R,
+    seed: u64,
 ) -> OnTheFlyOutcome {
-    mochy_a_plus_onthefly_impl(hypergraph, config, rng)
-}
-
-pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
-    config: OnTheFlyConfig,
-    rng: &mut R,
-) -> OnTheFlyOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
     let catalog = MotifCatalog::new();
     let mut lazy = LazyProjection::new(hypergraph, config.budget_entries, config.policy);
 
@@ -125,16 +114,10 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    // The tests exercise the paper-numbered wrappers on purpose: they are
-    // the citable algorithm entry points the engine builds on.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::exact::mochy_e;
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
 
     fn random_hypergraph(seed: u64, nodes: u32, edges: usize, max_size: usize) -> Hypergraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -151,14 +134,14 @@ mod tests {
     fn hyperwedge_count_matches_eager_projection() {
         let h = random_hypergraph(1, 20, 30, 5);
         let proj = project(&h);
-        let outcome = mochy_a_plus_onthefly(
+        let outcome = mochy_a_plus_onthefly_seeded(
             &h,
             OnTheFlyConfig {
                 num_samples: 10,
                 budget_entries: 100,
                 policy: MemoPolicy::HighestDegree,
             },
-            &mut StdRng::seed_from_u64(0),
+            0,
         );
         assert_eq!(outcome.num_hyperwedges, proj.num_hyperwedges());
     }
@@ -173,14 +156,14 @@ mod tests {
             (16, MemoPolicy::Lru),
             (usize::MAX, MemoPolicy::Random),
         ] {
-            let outcome = mochy_a_plus_onthefly(
+            let outcome = mochy_a_plus_onthefly_seeded(
                 &h,
                 OnTheFlyConfig {
                     num_samples: 5000,
                     budget_entries: budget,
                     policy,
                 },
-                &mut StdRng::seed_from_u64(42),
+                42,
             );
             let error = exact.relative_error(&outcome.counts);
             assert!(
@@ -193,14 +176,14 @@ mod tests {
     #[test]
     fn generous_budget_produces_cache_hits() {
         let h = random_hypergraph(6, 15, 25, 4);
-        let outcome = mochy_a_plus_onthefly(
+        let outcome = mochy_a_plus_onthefly_seeded(
             &h,
             OnTheFlyConfig {
                 num_samples: 200,
                 budget_entries: usize::MAX,
                 policy: MemoPolicy::HighestDegree,
             },
-            &mut StdRng::seed_from_u64(3),
+            3,
         );
         assert!(outcome.memo_stats.hits > 0);
         // With an unlimited budget every neighbourhood is computed at most once.
@@ -214,14 +197,14 @@ mod tests {
             .with_edge([1u32])
             .build()
             .unwrap();
-        let outcome = mochy_a_plus_onthefly(
+        let outcome = mochy_a_plus_onthefly_seeded(
             &h,
             OnTheFlyConfig {
                 num_samples: 50,
                 budget_entries: 10,
                 policy: MemoPolicy::Lru,
             },
-            &mut StdRng::seed_from_u64(9),
+            9,
         );
         assert_eq!(outcome.counts.total(), 0.0);
         assert_eq!(outcome.num_hyperwedges, 0);

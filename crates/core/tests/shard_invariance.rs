@@ -1,11 +1,12 @@
 //! Shard-count invariance of exact counting.
 //!
-//! Sharded MoCHy-E scatters over K contiguous hyperedge shards (per-shard
-//! internal counting plus a boundary exchange) and gathers with an
-//! order-fixed merge. Every contribution is a `+1.0` integer-valued `f64`
-//! increment, so the merged report must be **bit-identical** — not merely
-//! close — to the unsharded run for every shard count, the same guarantee
-//! thread invariance already pins for thread counts. This suite asserts
+//! Sharded MoCHy-E scatters over K contiguous hyperedge shards (one
+//! MoCHy-E pass per shard over the centres in its edge span) and gathers
+//! with an order-fixed merge. Every contribution is a `+1.0`
+//! integer-valued `f64` increment, so the merged report must be
+//! **bit-identical** — not merely close — to the unsharded run for every
+//! shard count, the same guarantee thread invariance already pins for
+//! thread counts. This suite asserts
 //! K ∈ {1, 2, 4, 8} == unsharded on the paper's Figure 2 example and on
 //! every bench dataset, and K ∈ {2, 3, 7} on a hub-and-skew fixture, at
 //! `threads = 1` and at the pooled thread count (`MOCHY_POOL_THREADS`,

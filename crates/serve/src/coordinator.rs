@@ -10,15 +10,18 @@
 //! # Why the merged answer is bit-identical to unsharded MoCHy-E
 //!
 //! Each partial is computed by the worker with
-//! [`mochy_core::shard::count_shard_partial`] over the full assembled
-//! hypergraph, so a shard's partial does not depend on *which* worker
-//! computed it, when, or after how many retries. [`Coordinator::scatter_gather`]
-//! returns the partials sorted by shard index (`0..K-1`), and `merge_partials`
-//! folds them in that fixed order (internal before boundary counts) using
-//! exact `f64` integer additions — the merged counts equal the single-process
-//! sharded run bit for bit, which in turn equals plain MoCHy-E. Worker
-//! failures, reassignment, and retry order therefore cannot perturb a single
-//! bit of the result.
+//! [`mochy_core::shard::count_shard_partial`]: one MoCHy-E pass over the
+//! centres in the shard's edge span, on the full assembled hypergraph. So a
+//! shard's partial does not depend on *which* worker computed it, when, or
+//! after how many retries. [`Coordinator::scatter_gather`] returns the
+//! partials sorted by shard index (`0..K-1`), and `merge_partials` folds
+//! them in that fixed order using exact `f64` integer additions — the merged
+//! counts equal the single-process sharded run bit for bit, which in turn
+//! equals plain MoCHy-E. Worker failures, reassignment, and retry order
+//! therefore cannot perturb a single bit of the result. A partial whose
+//! `schema` tag is not the current one (a worker running an older build) is
+//! rejected by the decoder like any other malformed answer, so a mixed
+//! fleet fails with a `fanout-failed` 502 instead of miscounting.
 //!
 //! # Failure semantics
 //!

@@ -9,18 +9,18 @@
 //!
 //! # Why the answer is bit-identical to unsharded MoCHy-E
 //!
-//! The shard partial itself is computed by
-//! [`mochy_core::shard::count_shard_partial`], whose internal phase runs
-//! plain MoCHy-E over the shard's edge slice and whose boundary phase walks
-//! the **full** projected graph in its canonical order, attributing each
-//! cross-shard instance to the shard owning its centre edge. Both phases add
-//! exact `+1.0` contributions into `f64` accumulators, and real-world totals
-//! sit far below 2^53, so addition is exact integer arithmetic — no grouping
-//! of the work (by shard, by worker, by thread) can change a bit of the
-//! merged counts. The first cross-shard request therefore lazily assembles
-//! the full hypergraph from the family's slices (cached afterwards); the
-//! assembled edge order is the manifest order, i.e. exactly the unsharded
-//! snapshot's order.
+//! The shard partial is computed by
+//! [`mochy_core::shard::count_shard_partial`]: one MoCHy-E pass over the
+//! centres in the shard's edge span, on the projection of the **full**
+//! hypergraph. MoCHy-E attributes every instance to exactly one centre, so
+//! the partials of all shards add up to the unsharded count. Every
+//! contribution is an exact `+1.0` in an `f64` accumulator, and real-world
+//! totals sit far below 2^53, so no grouping of the work (by shard, by
+//! worker, by thread) can change a bit of the merged counts. The first
+//! request therefore lazily assembles the full hypergraph from the family's
+//! slices and projects it once; both are cached, and no request copies or
+//! projects a slice. The assembled edge order is the manifest order, i.e.
+//! exactly the unsharded snapshot's order.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -32,7 +32,7 @@ use mochy_hypergraph::{
 };
 use mochy_projection::{project, project_parallel, ProjectedGraph};
 
-/// The lazily-assembled full dataset a worker needs for boundary counting.
+/// The lazily-assembled full dataset every shard's count runs on.
 struct FullDataset {
     hypergraph: Hypergraph,
     projected: ProjectedGraph,
@@ -64,9 +64,10 @@ impl WorkerState {
     /// (and fully validating) only the `primary_shard` slice.
     ///
     /// The slice itself is not retained: counting always needs the full
-    /// hypergraph for the boundary phase, so the load here is a cheap
-    /// boot-time proof that this worker's shard file is present and intact
-    /// before the coordinator is told the worker is healthy.
+    /// hypergraph (instances centred in a shard reach into other shards),
+    /// so the load here is a cheap boot-time proof that this worker's shard
+    /// file is present and intact before the coordinator is told the worker
+    /// is healthy.
     pub fn boot(
         dataset: impl Into<String>,
         manifest_path: &Path,
@@ -216,7 +217,10 @@ mod tests {
             partials.push(state.count_shard(shard, 1).expect("count shard"));
         }
         assert!(state.is_assembled());
-        for (ours, reference) in partials.iter().zip(expected.iter()) {
+        let spans = state.manifest().boundaries();
+        for (shard, (ours, reference)) in partials.iter().zip(expected.iter()).enumerate() {
+            assert_eq!(ours.shard, shard);
+            assert_eq!(ours.edges, spans[shard]);
             assert_eq!(ours.to_json().render(), reference.to_json().render());
         }
 

@@ -2,11 +2,13 @@
 //! three shard workers on ephemeral ports, exercising bit-identity against
 //! the unsharded count, retry after a worker dies mid-sequence,
 //! deadline-triggered reassignment around a stalling worker, the uniform
-//! fan-out error envelope, and byte-identical cache hits through the
-//! coordinator.
+//! fan-out error envelope (also for a worker answering in an older partial
+//! schema), and byte-identical cache hits through the coordinator.
 
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -308,6 +310,93 @@ fn total_fanout_failure_is_a_structured_502() {
     assert!(attempt.get("error").is_some());
 
     coordinator.shutdown();
+    cleanup_family(&stem, &manifest);
+}
+
+/// Answers every request on `listener` with `200` and `body`, as a worker
+/// running an older build would, until a connection arrives after `stop`
+/// is set.
+fn serve_canned_partials(listener: TcpListener, body: String, stop: Arc<AtomicBool>) {
+    while let Ok((stream, _)) = listener.accept() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut reader = BufReader::new(stream);
+        while answer_one_request(&mut reader, &body).is_some() {}
+    }
+}
+
+/// Reads one request from `reader` and answers it with `body`; `None` once
+/// the connection is closed or broken.
+fn answer_one_request(reader: &mut BufReader<TcpStream>, body: &str) -> Option<()> {
+    let mut content_length = 0usize;
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line).ok()? == 0 {
+            return None;
+        }
+        let header = line.trim_end().to_ascii_lowercase();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length:") {
+            content_length = value.trim().parse().ok()?;
+        }
+    }
+    let mut request_body = vec![0u8; content_length];
+    reader.read_exact(&mut request_body).ok()?;
+    let response = format!(
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    reader.get_mut().write_all(response.as_bytes()).ok()
+}
+
+#[test]
+fn a_worker_speaking_the_old_partial_schema_is_a_structured_502() {
+    let (stem, manifest) = write_family("stale");
+    // The two-phase partial format, without a `schema` tag.
+    let zeros = JsonValue::Array(vec![JsonValue::Number(0.0); 26]).render();
+    let stale_body = format!(
+        r#"{{"shard":0,"edge_start":0,"edge_end":20,"internal_counts":{zeros},"boundary_counts":{zeros},"internal_hyperwedges":0,"cross_hyperwedges":0}}"#
+    );
+    let stale = TcpListener::bind("127.0.0.1:0").expect("bind stale worker");
+    let stale_addr = stale.local_addr().expect("stale addr").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stale_thread = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || serve_canned_partials(stale, stale_body, stop))
+    };
+
+    let coordinator = boot_coordinator(&manifest, vec![stale_addr.clone()], DEADLINE, 1);
+    let mut client = HttpClient::new(coordinator.local_addr().to_string());
+    let response = client
+        .post(
+            "/v1/count",
+            r#"{"dataset": "dist", "method": "mochy-e"}"#,
+            DEADLINE,
+        )
+        .expect("exchange completes");
+    assert_eq!(response.status, 502, "{}", response.body);
+    let parsed = json::parse(&response.body).expect("error body parses");
+    let error = parsed.get("error").expect("error envelope");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("fanout-failed")
+    );
+    assert!(
+        response.body.contains("schema"),
+        "the attempt log must name the schema mismatch: {}",
+        response.body
+    );
+
+    coordinator.shutdown();
+    drop(client);
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(&stale_addr); // wakes the blocked accept
+    stale_thread
+        .join()
+        .expect("canned worker thread exits cleanly");
     cleanup_family(&stem, &manifest);
 }
 

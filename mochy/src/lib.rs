@@ -104,11 +104,6 @@ pub mod prelude {
         profile::{CharacteristicProfile, ProfileEstimator},
         similarity::SimilarityMatrix,
     };
-    #[allow(deprecated)]
-    pub use mochy_core::{
-        adaptive::mochy_a_plus_adaptive,
-        sample::{mochy_a, mochy_a_plus},
-    };
     pub use mochy_core::{
         adaptive::AdaptiveConfig,
         count::MotifCounts,
