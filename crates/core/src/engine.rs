@@ -60,6 +60,7 @@
 //!   `mochy-exp perf` harness (and `BENCH.json`) reads. Timing fields are
 //!   excluded from report equality.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use mochy_hypergraph::Hypergraph;
@@ -138,6 +139,13 @@ impl Method {
     /// Whether the method produces exact counts (vs. unbiased estimates).
     pub fn is_exact(&self) -> bool {
         matches!(self, Method::Exact | Method::Incremental)
+    }
+
+    /// Whether the method counts on an eagerly materialized projection,
+    /// i.e. whether [`MotifEngine::count_with`] reads a supplied one. Only
+    /// [`Method::Incremental`] and [`Method::OnTheFly`] do not.
+    pub fn projects_eagerly(&self) -> bool {
+        !matches!(self, Method::Incremental | Method::OnTheFly { .. })
     }
 }
 
@@ -348,7 +356,8 @@ pub struct CountReport {
     pub projection: ProjectionMode,
     /// Wall-clock time spent materializing the projected graph (excluded
     /// from equality). Zero for [`Method::OnTheFly`], whose neighbourhoods
-    /// are computed on demand during counting.
+    /// are computed on demand during counting, and for a projection
+    /// supplied to [`MotifEngine::count_with`].
     pub projection_time: Duration,
     /// Wall-clock time spent in the counting/sampling stage proper
     /// (excluded from equality). For [`Method::OnTheFly`] this includes the
@@ -407,16 +416,39 @@ impl MotifEngine {
     }
 
     /// Counts the h-motif instances of `hypergraph` with the configured
-    /// method, projection strategy, thread count and seed.
+    /// method, projection strategy, thread count and seed: projects (when
+    /// the method needs an eager projection), then counts as
+    /// [`MotifEngine::count_with`].
     pub fn count(&self, hypergraph: &Hypergraph) -> CountReport {
+        self.count_with(hypergraph, None)
+    }
+
+    /// Counts against `supplied`, the projection of `hypergraph` built
+    /// once by the caller and shared across runs (the serve layer keeps one
+    /// per published snapshot). With `None`, every method that needs an
+    /// eager projection builds its own, which is exactly [`Self::count`].
+    ///
+    /// A supplied projection is used by the methods that
+    /// [project eagerly](Method::projects_eagerly) and ignored by
+    /// [`Method::Incremental`] and [`Method::OnTheFly`], whose point is to
+    /// never read a materialized one. The report equals the one
+    /// [`Self::count`] returns: eager and parallel projections are
+    /// identical, so [`CountReport::projection`] names the strategy this
+    /// engine's thread count selects, and only
+    /// [`CountReport::projection_time`] (zero here) differs.
+    pub fn count_with(
+        &self,
+        hypergraph: &Hypergraph,
+        supplied: Option<&ProjectedGraph>,
+    ) -> CountReport {
         let start = Instant::now();
         let threads = self.config.threads.max(1);
         let seed = self.config.seed;
 
         let (mut report, projection_time, counting_time) = match self.config.method {
             Method::Exact => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
+                let (projected, projection, projection_time) =
+                    self.eager_projection(hypergraph, supplied, threads);
                 if self.config.shards > 1 {
                     // Scatter-gather: one MoCHy-E pass per shard over the
                     // centres in its edge span, merged order-fixed. The
@@ -433,13 +465,14 @@ impl MotifEngine {
                         crate::shard::merge_partials(&partials)
                     });
                     let mut report =
-                        self.base_report(counts, projection, Some(&projected), hypergraph);
+                        self.base_report(counts, projection, Some(&*projected), hypergraph);
                     report.num_hyperwedges = Some(num_hyperwedges);
                     (report, projection_time, counting_time)
                 } else {
                     let (counts, counting_time) =
                         timed(|| mochy_e_parallel(hypergraph, &projected, threads));
-                    let report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                    let report =
+                        self.base_report(counts, projection, Some(&*projected), hypergraph);
                     (report, projection_time, counting_time)
                 }
             }
@@ -467,14 +500,15 @@ impl MotifEngine {
                 (report, Duration::ZERO, counting_time)
             }
             Method::EdgeSample { samples } => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
+                let (projected, projection, projection_time) =
+                    self.eager_projection(hypergraph, supplied, threads);
                 // Sequential and parallel dispatch share this entry point;
                 // it derives a per-sample-index StdRng from the seed, so the
                 // estimate is thread-count invariant.
                 let (counts, counting_time) =
                     timed(|| mochy_a_parallel(hypergraph, &projected, samples, threads, seed));
-                let mut report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                let mut report =
+                    self.base_report(counts, projection, Some(&*projected), hypergraph);
                 // The sampler early-returns without drawing on an empty
                 // hypergraph; report what was actually drawn.
                 report.samples_drawn = Some(if hypergraph.num_edges() == 0 {
@@ -485,8 +519,8 @@ impl MotifEngine {
                 (report, projection_time, counting_time)
             }
             Method::WedgeSample { samples } => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
+                let (projected, projection, projection_time) =
+                    self.eager_projection(hypergraph, supplied, threads);
                 let (counts, counting_time) =
                     timed(|| mochy_a_plus_parallel(hypergraph, &projected, samples, threads, seed));
                 let drawn = if projected.num_hyperwedges() == 0 {
@@ -494,13 +528,14 @@ impl MotifEngine {
                 } else {
                     samples
                 };
-                let mut report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                let mut report =
+                    self.base_report(counts, projection, Some(&*projected), hypergraph);
                 report.samples_drawn = Some(drawn);
                 (report, projection_time, counting_time)
             }
             Method::WedgeSampleRatio { ratio } => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
+                let (projected, projection, projection_time) =
+                    self.eager_projection(hypergraph, supplied, threads);
                 let num_hyperwedges = projected.num_hyperwedges();
                 let samples = if num_hyperwedges == 0 {
                     0
@@ -509,7 +544,8 @@ impl MotifEngine {
                 };
                 let (counts, counting_time) =
                     timed(|| mochy_a_plus_parallel(hypergraph, &projected, samples, threads, seed));
-                let mut report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                let mut report =
+                    self.base_report(counts, projection, Some(&*projected), hypergraph);
                 report.samples_drawn = Some(samples);
                 (report, projection_time, counting_time)
             }
@@ -517,13 +553,13 @@ impl MotifEngine {
                 // The stopping rule is inherently sequential (each batch
                 // decides whether another is needed), so `threads` only
                 // accelerates the projection.
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
+                let (projected, projection, projection_time) =
+                    self.eager_projection(hypergraph, supplied, threads);
                 let (outcome, counting_time) = timed(|| {
                     mochy_a_plus_adaptive_seeded(hypergraph, &projected, adaptive_config, seed)
                 });
                 let mut report =
-                    self.base_report(outcome.estimate, projection, Some(&projected), hypergraph);
+                    self.base_report(outcome.estimate, projection, Some(&*projected), hypergraph);
                 report.samples_drawn = Some(outcome.samples);
                 report.batches = Some(outcome.batches);
                 report.standard_errors = Some(outcome.standard_errors);
@@ -567,18 +603,34 @@ impl MotifEngine {
         report
     }
 
-    fn eager_projection(
+    /// The eager projection a run counts on: the supplied one (free), or a
+    /// fresh one built with the strategy `threads` selects (timed).
+    fn eager_projection<'p>(
         &self,
         hypergraph: &Hypergraph,
+        supplied: Option<&'p ProjectedGraph>,
         threads: usize,
-    ) -> (ProjectedGraph, ProjectionMode) {
-        if threads > 1 {
-            (
-                project_parallel(hypergraph, threads),
-                ProjectionMode::EagerParallel { threads },
-            )
+    ) -> (Cow<'p, ProjectedGraph>, ProjectionMode, Duration) {
+        let mode = if threads > 1 {
+            ProjectionMode::EagerParallel { threads }
         } else {
-            (project(hypergraph), ProjectionMode::Eager)
+            ProjectionMode::Eager
+        };
+        match supplied {
+            Some(projected) => {
+                debug_assert_eq!(projected.num_edges(), hypergraph.num_edges());
+                (Cow::Borrowed(projected), mode, Duration::ZERO)
+            }
+            None => {
+                let (projected, projection_time) = timed(|| {
+                    if threads > 1 {
+                        project_parallel(hypergraph, threads)
+                    } else {
+                        project(hypergraph)
+                    }
+                });
+                (Cow::Owned(projected), mode, projection_time)
+            }
         }
     }
 

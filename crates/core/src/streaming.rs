@@ -109,13 +109,15 @@ impl StreamingEngine {
     /// Bootstraps a streaming engine from an existing snapshot: the
     /// projection is materialized eagerly (Algorithm 1) and the initial
     /// counts come from one batch MoCHy-E run; subsequent mutations are
-    /// incremental. Edge `e` of `hypergraph` keeps the identifier `e`.
+    /// incremental. Edge `e` of `hypergraph` keeps the identifier `e`. The
+    /// projection moves into the overlay's base, so the bootstrap never
+    /// holds two copies of it.
     pub fn from_hypergraph(hypergraph: &Hypergraph, config: StreamConfig) -> Self {
         let projected = project(hypergraph);
         let counts = mochy_e(hypergraph, &projected);
         Self {
             hypergraph: DynamicHypergraph::from_hypergraph(hypergraph),
-            projection: ProjectionOverlay::from_projected(&projected)
+            projection: ProjectionOverlay::from_projected(projected)
                 .with_compaction(config.compaction_min_delta, config.compaction_ratio),
             catalog: MotifCatalog::new(),
             counts,

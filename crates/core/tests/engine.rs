@@ -5,7 +5,7 @@
 use mochy_core::engine::{CountConfig, Method, ProjectionMode};
 use mochy_core::{mochy_e, AdaptiveConfig};
 use mochy_hypergraph::{Hypergraph, HypergraphBuilder};
-use mochy_projection::{project, MemoPolicy};
+use mochy_projection::{project, project_parallel, MemoPolicy};
 
 /// Figure 2 of the paper: e1={L,K,F}, e2={L,H,K}, e3={B,G,L}, e4={S,R,F}.
 /// Three h-motif instances: {e1,e2,e3}, {e1,e2,e4}, {e1,e3,e4}.
@@ -47,6 +47,54 @@ fn exact_method_matches_mochy_e_bit_for_bit() {
         assert_eq!(report.projection, expected_mode);
         // Adjacent pairs: e1–e2, e1–e3, e1–e4, e2–e3.
         assert_eq!(report.num_hyperwedges, Some(4));
+    }
+}
+
+#[test]
+fn a_supplied_projection_yields_the_report_of_a_plain_count() {
+    let h = denser();
+    // The parallel builder's graph is the sequential one, so either may be
+    // supplied to an engine of any thread count.
+    let sequential = project(&h);
+    let parallel = project_parallel(&h, 3);
+    assert_eq!(sequential, parallel);
+    let adaptive = AdaptiveConfig {
+        batch_size: 50,
+        min_batches: 2,
+        max_batches: 4,
+        target_relative_error: 0.05,
+    };
+    let mut configs = vec![
+        CountConfig::exact().shards(3).unwrap(),
+        CountConfig::wedge_sample_ratio(0.3),
+        CountConfig::adaptive(adaptive),
+        CountConfig::exact().generalized(3).unwrap(),
+        CountConfig::new(Method::Incremental),
+        CountConfig::on_the_fly(100, 16, MemoPolicy::Lru),
+    ];
+    for method in [
+        Method::Exact,
+        Method::EdgeSample { samples: 100 },
+        Method::WedgeSample { samples: 100 },
+    ] {
+        configs.push(CountConfig::new(method));
+    }
+    for config in configs {
+        for threads in [1, 4] {
+            let engine = config.threads(threads).seed(9).build();
+            let plain = engine.count(&h);
+            for supplied in [&sequential, &parallel] {
+                let report = engine.count_with(&h, Some(supplied));
+                assert_eq!(
+                    report,
+                    plain,
+                    "{} at {threads} threads",
+                    config.method.name()
+                );
+                assert_eq!(report.projection_time, std::time::Duration::ZERO);
+            }
+            assert_eq!(engine.count_with(&h, None), plain);
+        }
     }
 }
 

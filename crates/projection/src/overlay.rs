@@ -83,16 +83,18 @@ impl ProjectionOverlay {
     }
 
     /// Seeds the overlay with a fully materialized projected graph: row `e`
-    /// of the base is the neighbourhood of hyperedge `e`.
-    pub fn from_projected(projected: &ProjectedGraph) -> Self {
-        let base = projected.as_csr().clone();
+    /// of the base is the neighbourhood of hyperedge `e`. The graph's CSR
+    /// becomes the base as is, so only one copy of it is ever live.
+    pub fn from_projected(projected: ProjectedGraph) -> Self {
+        let num_hyperwedges = projected.num_hyperwedges();
+        let base = projected.into_csr();
         let rows = base.num_rows();
         Self {
             base,
             added: vec![Vec::new(); rows],
             removed: vec![Vec::new(); rows],
             dead: vec![false; rows],
-            num_hyperwedges: projected.num_hyperwedges(),
+            num_hyperwedges,
             ..Self::new()
         }
     }
@@ -428,7 +430,7 @@ mod tests {
             .with_edge([6, 7, 2])
             .build()
             .unwrap();
-        let overlay = ProjectionOverlay::from_projected(&project(&h));
+        let overlay = ProjectionOverlay::from_projected(project(&h));
         assert_eq!(overlay.num_hyperwedges(), 4);
         assert_eq!(overlay.weight(0, 1), Some(2));
         assert_eq!(overlay.weight(1, 3), None);
@@ -444,7 +446,7 @@ mod tests {
             .with_edge([2u32, 3])
             .build()
             .unwrap();
-        let mut overlay = ProjectionOverlay::from_projected(&project(&h));
+        let mut overlay = ProjectionOverlay::from_projected(project(&h));
         let neighbors = overlay.neighbors(1);
         assert!(overlay.remove_row(1, &neighbors));
         assert!(overlay.delta_entries() > 0);

@@ -43,11 +43,11 @@ impl ProjectedGraph {
         self.adjacency.num_rows()
     }
 
-    /// The underlying adjacency CSR (row `e` = neighbourhood of hyperedge
-    /// `e`, sorted by neighbour id). The streaming overlay seeds its base
-    /// from this.
-    pub fn as_csr(&self) -> &Csr<WeightedNeighbor> {
-        &self.adjacency
+    /// Consumes the graph into its adjacency CSR (row `e` = neighbourhood
+    /// of hyperedge `e`, sorted by neighbour id). The streaming overlay
+    /// takes this as its base without copying it.
+    pub fn into_csr(self) -> Csr<WeightedNeighbor> {
+        self.adjacency
     }
 
     /// Number of hyperwedges `|∧|`.

@@ -11,7 +11,7 @@
 //! | Route | Body | Answer |
 //! |---|---|---|
 //! | `GET /v1/healthz` | — | liveness, role, dataset/cache/pool stats |
-//! | `GET /v1/datasets` | — | registered datasets with generation + sizes |
+//! | `GET /v1/datasets` | — | registered datasets with generation, sizes and whether the projection is resident |
 //! | `POST /v1/datasets` | `{"name", "snapshot"}` | ingests a base64 `.mochy` snapshot as a fresh dataset |
 //! | `POST /v1/count` | `{"dataset", "method", …}` | 26 h-motif counts via the [`MotifEngine`] |
 //! | `POST /v1/profile` | `{"dataset", "randomizations", …}` | characteristic profile (Eqs. 1–2) |
@@ -64,7 +64,8 @@ use crate::worker::WorkerState;
 /// Hard ceiling on per-request sample counts (keeps a single query bounded).
 const MAX_SAMPLES: usize = 1_000_000;
 /// Hard ceiling on the per-request `shards` parameter of exact counting
-/// (each shard carries its own projection, so the parameter is cost-bearing).
+/// (all shards share the snapshot's one projection, but each shard is one
+/// more pass of per-centre setup, so the parameter stays bounded).
 const MAX_SHARDS: usize = 64;
 /// Hard ceiling on per-request null-model randomizations.
 const MAX_RANDOMIZATIONS: usize = 16;
@@ -204,6 +205,7 @@ impl ApiResponse {
 /// `"not-found"`, `"unknown-version"`, `"fanout-failed"`, …); `message` is
 /// for humans; `detail` carries structured context where one exists (e.g.
 /// per-worker outcomes of a failed fan-out).
+#[derive(Debug)]
 struct ApiError {
     status: u16,
     kind: &'static str,
@@ -532,6 +534,9 @@ fn datasets(ctx: &ApiContext) -> ApiResponse {
         .into_iter()
         .map(|(name, dataset)| {
             let snapshot = dataset.snapshot();
+            // Whether the current snapshot's projection is resident, and its
+            // size: the memory the projection cache holds for this dataset.
+            let resident = snapshot.resident_projection();
             JsonValue::Object(vec![
                 ("name".to_string(), JsonValue::string(name)),
                 (
@@ -545,6 +550,13 @@ fn datasets(ctx: &ApiContext) -> ApiResponse {
                 (
                     "num_edges".to_string(),
                     JsonValue::Number(snapshot.num_edges() as f64),
+                ),
+                ("projected".to_string(), JsonValue::Bool(resident.is_some())),
+                (
+                    "num_hyperwedges".to_string(),
+                    resident.map_or(JsonValue::Null, |p| {
+                        JsonValue::Number(p.num_hyperwedges() as f64)
+                    }),
                 ),
             ])
         })
@@ -862,6 +874,13 @@ fn count(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
 
 /// Runs the engine against the snapshot and renders the deterministic body.
 ///
+/// Methods that count on an eager projection run against the snapshot's
+/// shared one ([`Snapshot::projected`]), built by the first such request on
+/// this snapshot; on-the-fly sampling and the incremental replay never
+/// read it, so they never trigger the build. The engine's report — and so
+/// the body — is the same as an uncached
+/// [`MotifEngine::count`](mochy_core::engine::MotifEngine::count).
+///
 /// The config builders are fallible ([`mochy_core::engine::ConfigError`]):
 /// `parse_count_query` already rejects the invalid combinations with
 /// field-specific messages, so hitting a `ConfigError` here would mean the
@@ -881,13 +900,21 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
             .generalized(k)
             .map_err(|error| ApiError::bad(error.to_string()))?;
     }
-    let report: Option<CountReport> = snapshot
-        .hypergraph
-        .as_deref()
-        .map(|hypergraph| config.build().count(hypergraph));
+    let report: Option<CountReport> = snapshot.hypergraph.as_deref().map(|hypergraph| {
+        let projected = if query.method.projects_eagerly() {
+            snapshot.projected(query.threads)
+        } else {
+            None
+        };
+        config.build().count_with(hypergraph, projected)
+    });
+    Ok(render_report(query, snapshot, report.as_ref()))
+}
 
+/// Renders the `/count` body for `report`, computed on `snapshot` (`None`
+/// for the empty snapshot).
+fn render_report(query: &CountQuery, snapshot: &Snapshot, report: Option<&CountReport>) -> String {
     let counts: Vec<f64> = report
-        .as_ref()
         .map(|r| r.counts.as_slice().to_vec())
         .unwrap_or_else(|| vec![0.0; NUM_MOTIFS]);
     let mut members = vec![
@@ -909,14 +936,12 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
         (
             "num_hyperwedges".to_string(),
             report
-                .as_ref()
                 .and_then(|r| r.num_hyperwedges)
                 .map_or(JsonValue::Null, |w| JsonValue::Number(w as f64)),
         ),
         (
             "samples_drawn".to_string(),
             report
-                .as_ref()
                 .and_then(|r| r.samples_drawn)
                 .map_or(JsonValue::Null, |s| JsonValue::Number(s as f64)),
         ),
@@ -926,7 +951,7 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
         ),
         ("counts".to_string(), f64_array(&counts)),
     ];
-    let generalized = report.as_ref().and_then(|r| r.generalized.as_ref());
+    let generalized = report.and_then(|r| r.generalized.as_ref());
     members.push((
         "generalized".to_string(),
         match generalized {
@@ -963,7 +988,7 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
             ]),
         },
     ));
-    Ok(JsonValue::Object(members).render())
+    JsonValue::Object(members).render()
 }
 
 // ---------------------------------------------------------------------------
@@ -1369,6 +1394,7 @@ fn mutate(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
 mod tests {
     use super::*;
     use mochy_hypergraph::HypergraphBuilder;
+    use mochy_projection::ProjectedGraph;
 
     fn context() -> ApiContext {
         let registry = Registry::new();
@@ -1816,6 +1842,219 @@ mod tests {
         assert_eq!(
             doc.get("role").and_then(JsonValue::as_str),
             Some("standalone")
+        );
+    }
+
+    /// The fig2 context plus `gen`, a generated dataset with enough
+    /// hyperwedges to sample from, served at up to 4 threads.
+    fn generated_context() -> ApiContext {
+        let ctx = ApiContext {
+            max_threads: 4,
+            cache: QueryCache::new(64),
+            ..context()
+        };
+        ctx.registry.insert(
+            "gen",
+            mochy_datagen::generate(&mochy_datagen::GeneratorConfig::new(
+                mochy_datagen::DomainKind::Contact,
+                40,
+                90,
+                5,
+            )),
+        );
+        ctx
+    }
+
+    /// The body `request` renders on `snapshot` from an uncached engine
+    /// run, which projects for itself.
+    fn uncached_body(ctx: &ApiContext, request: &str, snapshot: &Snapshot) -> String {
+        let query = parse_count_query(ctx, request).unwrap();
+        let mut config = CountConfig::new(query.method)
+            .threads(query.threads)
+            .seed(query.seed);
+        if query.shards > 1 {
+            config = config.shards(query.shards).unwrap();
+        }
+        if let Some(k) = query.generalized {
+            config = config.generalized(k).unwrap();
+        }
+        let report = snapshot
+            .hypergraph
+            .as_deref()
+            .map(|h| config.build().count(h));
+        render_report(&query, snapshot, report.as_ref())
+    }
+
+    #[test]
+    fn eager_methods_count_on_the_snapshots_one_projection() {
+        for method in [
+            r#""method": "mochy-e""#,
+            r#""method": "mochy-e", "shards": 3"#,
+            r#""method": "mochy-a", "samples": 40"#,
+            r#""method": "mochy-a+", "samples": 40"#,
+            r#""method": "mochy-a+-ratio", "ratio": 0.2"#,
+            r#""method": "mochy-a+-adaptive", "samples": 64"#,
+            r#""method": "mochy-e", "generalized": 3"#,
+        ] {
+            let ctx = generated_context();
+            let snapshot = ctx.registry.get("gen").unwrap().snapshot();
+            assert!(snapshot.resident_projection().is_none(), "{method}");
+            let mut shared: Option<&ProjectedGraph> = None;
+            // Two distinct-seed misses per thread count, all on one snapshot.
+            for (threads, seed) in [(1, 11), (1, 12), (4, 13), (4, 14)] {
+                let request = format!(
+                    r#"{{"dataset": "gen", {method}, "threads": {threads}, "seed": {seed}}}"#
+                );
+                let response = handle(&ctx, &post("/v1/count", &request));
+                assert_eq!(response.status, 200, "{request}: {}", response.body);
+                assert_eq!(response.cache_state, Some(CacheState::Miss), "{request}");
+                assert_eq!(
+                    &*response.body,
+                    uncached_body(&ctx, &request, &snapshot),
+                    "{request}"
+                );
+                let resident = snapshot
+                    .resident_projection()
+                    .expect("an eager method builds the snapshot's projection");
+                if let Some(first) = shared {
+                    assert!(std::ptr::eq(first, resident), "{request} re-projected");
+                }
+                shared = Some(resident);
+            }
+        }
+    }
+
+    #[test]
+    fn on_the_fly_and_incremental_requests_never_build_the_projection() {
+        let ctx = generated_context();
+        let snapshot = ctx.registry.get("gen").unwrap().snapshot();
+        for request in [
+            r#"{"dataset": "gen", "method": "mochy-a+-otf", "samples": 40, "seed": 3}"#,
+            r#"{"dataset": "gen", "method": "mochy-a+-otf", "samples": 40, "threads": 4}"#,
+            r#"{"dataset": "gen", "method": "mochy-a+-otf", "generalized": 3}"#,
+            r#"{"dataset": "gen", "method": "incremental"}"#,
+            r#"{"dataset": "gen", "method": "incremental", "threads": 4, "generalized": 3}"#,
+        ] {
+            let response = handle(&ctx, &post("/v1/count", request));
+            assert_eq!(response.status, 200, "{request}: {}", response.body);
+            assert_eq!(
+                &*response.body,
+                uncached_body(&ctx, request, &snapshot),
+                "{request}"
+            );
+            assert!(
+                snapshot.resident_projection().is_none(),
+                "{request} built the projection"
+            );
+        }
+    }
+
+    #[test]
+    fn mutations_publish_unbuilt_snapshots_and_old_readers_keep_their_projection() {
+        let ctx = generated_context();
+        let exact = r#"{"dataset": "gen", "seed": 1}"#;
+        let old = ctx.registry.get("gen").unwrap().snapshot();
+        assert_eq!(handle(&ctx, &post("/v1/count", exact)).status, 200);
+        let old_projection = old.resident_projection().expect("built by the count");
+
+        let mutate = r#"{"dataset": "gen", "insert": [[0, 1, 2, 3]], "remove": [0, 5]}"#;
+        let mutated = handle(&ctx, &post("/v1/mutate", mutate));
+        assert_eq!(mutated.status, 200, "{}", mutated.body);
+        let new = ctx.registry.get("gen").unwrap().snapshot();
+        assert_eq!(new.generation, 1);
+        assert!(new.resident_projection().is_none());
+
+        // A reader still holding the old snapshot answers the old
+        // generation from the old snapshot's own projection.
+        let late = r#"{"dataset": "gen", "method": "mochy-a+", "seed": 2}"#;
+        let body = render_count(&parse_count_query(&ctx, late).unwrap(), &old).unwrap();
+        assert_eq!(body, uncached_body(&ctx, late, &old));
+        let doc = json::parse(&body).unwrap();
+        assert_eq!(doc.get("generation").and_then(JsonValue::as_f64), Some(0.0));
+        assert!(std::ptr::eq(
+            old.resident_projection().unwrap(),
+            old_projection
+        ));
+        assert!(new.resident_projection().is_none());
+
+        // The next request on the new generation builds its own.
+        let fresh = handle(&ctx, &post("/v1/count", exact));
+        assert_eq!(&*fresh.body, uncached_body(&ctx, exact, &new));
+        let doc = json::parse(&fresh.body).unwrap();
+        assert_eq!(doc.get("generation").and_then(JsonValue::as_f64), Some(1.0));
+        let new_projection = new.resident_projection().expect("built by the count");
+        assert!(!std::ptr::eq(new_projection, old_projection));
+        assert_eq!(new_projection.num_edges(), new.num_edges());
+    }
+
+    #[test]
+    fn concurrent_first_requests_share_one_projection() {
+        let ctx = generated_context();
+        let snapshot = ctx.registry.get("gen").unwrap().snapshot();
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<(String, &ProjectedGraph)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..=4)
+                .map(|threads| {
+                    let (ctx, snapshot, barrier) = (&ctx, &snapshot, &barrier);
+                    scope.spawn(move || {
+                        let request = format!(
+                            r#"{{"dataset": "gen", "method": "mochy-a+", "samples": 40, "threads": {threads}}}"#
+                        );
+                        let query = parse_count_query(ctx, &request).unwrap();
+                        barrier.wait();
+                        let body = render_count(&query, snapshot).unwrap();
+                        (body, snapshot.resident_projection().unwrap())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap())
+                .collect()
+        });
+        let request = r#"{"dataset": "gen", "method": "mochy-a+", "samples": 40}"#;
+        let expected = uncached_body(&ctx, request, &snapshot);
+        for (body, projection) in &answers {
+            assert_eq!(*body, expected);
+            assert!(std::ptr::eq(*projection, answers[0].1));
+        }
+    }
+
+    #[test]
+    fn the_listing_reports_whether_the_projection_is_resident() {
+        let ctx = context();
+        let listed = || {
+            let response = handle(
+                &ctx,
+                &Request {
+                    method: "GET".to_string(),
+                    path: "/v1/datasets".to_string(),
+                    body: String::new(),
+                    keep_alive: true,
+                },
+            );
+            let doc = json::parse(&response.body).unwrap();
+            let entry = doc.get("datasets").unwrap().as_array().unwrap()[0].clone();
+            (
+                entry.get("projected").cloned(),
+                entry.get("num_hyperwedges").cloned(),
+            )
+        };
+        assert_eq!(
+            listed(),
+            (Some(JsonValue::Bool(false)), Some(JsonValue::Null))
+        );
+        // On-the-fly sampling leaves it unbuilt; exact counting builds it.
+        let otf = r#"{"dataset": "fig2", "method": "mochy-a+-otf"}"#;
+        assert_eq!(handle(&ctx, &post("/v1/count", otf)).status, 200);
+        assert_eq!(listed().0, Some(JsonValue::Bool(false)));
+        assert_eq!(
+            handle(&ctx, &post("/v1/count", r#"{"dataset": "fig2"}"#)).status,
+            200
+        );
+        assert_eq!(
+            listed(),
+            (Some(JsonValue::Bool(true)), Some(JsonValue::Number(4.0)))
         );
     }
 

@@ -10,8 +10,9 @@
 //! service layer:
 //!
 //! - [`registry`] — named datasets as **immutable snapshots**
-//!   (`Arc<Hypergraph>`): readers grab the current snapshot with one brief
-//!   pointer clone and then compute entirely lock-free on it; a mutation
+//!   (`Arc<Hypergraph>` plus a projection built once, on first use):
+//!   readers grab the current snapshot with one brief pointer clone and
+//!   then compute entirely lock-free on it; a mutation
 //!   serializes through a per-dataset writer (a
 //!   [`StreamingEngine`](mochy_core::streaming::StreamingEngine), so counts
 //!   are maintained incrementally) and *publishes a fresh snapshot* by

@@ -5,9 +5,15 @@
 //! - Every dataset publishes its current state as an `Arc<Snapshot>`.
 //!   Readers call [`Dataset::snapshot`], which holds the publication lock
 //!   only long enough to clone the `Arc` — nanoseconds — and then run their
-//!   whole query (projection, counting, profile estimation) against that
-//!   immutable snapshot without any further synchronization. A query never
-//!   observes a half-applied mutation.
+//!   whole query (counting, profile estimation) against that immutable
+//!   snapshot without any further synchronization. A query never observes
+//!   a half-applied mutation.
+//! - Each snapshot carries its projected graph (Algorithm 1), built lazily
+//!   by the first reader that needs it ([`Snapshot::projected`]) and shared
+//!   by every later one: a snapshot is projected at most once, concurrent
+//!   first readers wait for that one build, and the projection is dropped
+//!   with its snapshot. Methods that never materialize a projection
+//!   (on-the-fly sampling, the incremental replay) never trigger the build.
 //! - Mutations serialize through a per-dataset writer: a
 //!   [`StreamingEngine`] (bootstrapped lazily from the current snapshot on
 //!   the first mutation) applies the hyperedge insertions and removals
@@ -23,10 +29,11 @@
 //! [`DynamicHypergraph`]: mochy_hypergraph::DynamicHypergraph
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use mochy_core::streaming::{StreamConfig, StreamingEngine};
 use mochy_hypergraph::{EdgeId, Hypergraph, NodeId};
+use mochy_projection::{project, project_parallel, ProjectedGraph};
 
 /// Largest node identifier a mutation may introduce. The incidence index is
 /// dense in the node id (one slot per id up to the maximum ever seen), so an
@@ -45,9 +52,42 @@ pub struct Snapshot {
     /// (hyperedge sets are non-empty by construction, so the empty state
     /// needs an explicit representation).
     pub hypergraph: Option<Arc<Hypergraph>>,
+    /// The projection of `hypergraph`, built on first use.
+    projected: OnceLock<ProjectedGraph>,
 }
 
 impl Snapshot {
+    /// A snapshot of `hypergraph` at `generation`, not yet projected.
+    pub(crate) fn new(generation: u64, hypergraph: Option<Arc<Hypergraph>>) -> Self {
+        Self {
+            generation,
+            hypergraph,
+            projected: OnceLock::new(),
+        }
+    }
+
+    /// The projected graph of this snapshot (`None` for the empty
+    /// snapshot). The first caller builds it — in parallel when `threads`
+    /// is above 1, which yields the identical graph — and every other
+    /// caller, including concurrent first callers, waits for and shares
+    /// that one build.
+    pub(crate) fn projected(&self, threads: usize) -> Option<&ProjectedGraph> {
+        let hypergraph = self.hypergraph.as_deref()?;
+        Some(self.projected.get_or_init(|| {
+            if threads > 1 {
+                project_parallel(hypergraph, threads)
+            } else {
+                project(hypergraph)
+            }
+        }))
+    }
+
+    /// The projected graph if some reader has already built it; never
+    /// builds one.
+    pub(crate) fn resident_projection(&self) -> Option<&ProjectedGraph> {
+        self.projected.get()
+    }
+
     /// Number of nodes (0 for the empty snapshot).
     pub fn num_nodes(&self) -> usize {
         self.hypergraph.as_ref().map_or(0, |h| h.num_nodes())
@@ -112,10 +152,7 @@ pub struct Dataset {
 impl Dataset {
     fn new(hypergraph: Hypergraph) -> Self {
         Self {
-            published: Mutex::new(Arc::new(Snapshot {
-                generation: 0,
-                hypergraph: Some(Arc::new(hypergraph)),
-            })),
+            published: Mutex::new(Arc::new(Snapshot::new(0, Some(Arc::new(hypergraph))))),
             writer: Mutex::new(None),
         }
     }
@@ -215,10 +252,7 @@ impl Dataset {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let generation = published.generation + 1;
-        *published = Arc::new(Snapshot {
-            generation,
-            hypergraph,
-        });
+        *published = Arc::new(Snapshot::new(generation, hypergraph));
         Ok(MutationOutcome {
             generation,
             inserted,
@@ -367,6 +401,35 @@ mod tests {
             .build()
             .count(after.hypergraph.as_deref().unwrap());
         assert_eq!(new_counts.counts.total(), outcome.total_instances);
+    }
+
+    #[test]
+    fn each_snapshot_projects_once_and_mutations_start_unbuilt() {
+        let dataset = Dataset::new(figure2());
+        let old = dataset.snapshot();
+        assert!(old.resident_projection().is_none());
+        let built = old.projected(1).expect("a non-empty snapshot projects");
+        assert_eq!(built.num_hyperwedges(), 4);
+        // Later readers share the build, whatever thread count they ask for.
+        assert!(std::ptr::eq(old.projected(4).unwrap(), built));
+
+        dataset.mutate(&[vec![1, 4, 6]], &[3]).unwrap();
+        let new = dataset.snapshot();
+        assert!(new.resident_projection().is_none());
+        // The old snapshot keeps its own projection for its readers.
+        assert!(std::ptr::eq(old.resident_projection().unwrap(), built));
+        let new_counts = CountConfig::exact()
+            .build()
+            .count_with(new.hypergraph.as_deref().unwrap(), new.projected(2));
+        let uncached = CountConfig::exact()
+            .build()
+            .count(new.hypergraph.as_deref().unwrap());
+        assert_eq!(new_counts, uncached);
+        assert!(!std::ptr::eq(new.resident_projection().unwrap(), built));
+
+        // The empty snapshot has nothing to project.
+        dataset.mutate(&[], &[0, 1, 2, 4]).unwrap();
+        assert!(dataset.snapshot().projected(1).is_none());
     }
 
     #[test]

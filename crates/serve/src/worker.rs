@@ -18,7 +18,8 @@
 //! totals sit far below 2^53, so no grouping of the work (by shard, by
 //! worker, by thread) can change a bit of the merged counts. The first
 //! request therefore lazily assembles the full hypergraph from the family's
-//! slices and projects it once; both are cached, and no request copies or
+//! slices into a registry [`Snapshot`], whose projection is built once and
+//! cached exactly as a standalone dataset's is; no request copies or
 //! projects a slice. The assembled edge order is the manifest order, i.e.
 //! exactly the unsharded snapshot's order.
 
@@ -27,16 +28,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use mochy_core::shard::{count_shard_partial, ShardPartial};
 use mochy_hypergraph::{
-    load_shard_slice, load_sharded, manifest_stem, read_manifest_file, Hypergraph, ShardError,
-    ShardManifest,
+    load_shard_slice, load_sharded, manifest_stem, read_manifest_file, ShardError, ShardManifest,
 };
-use mochy_projection::{project, project_parallel, ProjectedGraph};
 
-/// The lazily-assembled full dataset every shard's count runs on.
-struct FullDataset {
-    hypergraph: Hypergraph,
-    projected: ProjectedGraph,
-}
+use crate::registry::Snapshot;
 
 /// Everything a `--worker` instance knows about its shard family.
 pub struct WorkerState {
@@ -44,7 +39,8 @@ pub struct WorkerState {
     stem: PathBuf,
     manifest: ShardManifest,
     primary_shard: usize,
-    full: Mutex<Option<Arc<FullDataset>>>,
+    /// The lazily-assembled full dataset every shard's count runs on.
+    full: Mutex<Option<Arc<Snapshot>>>,
 }
 
 impl std::fmt::Debug for WorkerState {
@@ -117,15 +113,21 @@ impl WorkerState {
     /// Computes the [`ShardPartial`] for `shard` with `threads` threads.
     ///
     /// The first call assembles the full hypergraph from the family's shard
-    /// files and projects it; both are cached, so subsequent calls (for any
-    /// shard) reuse them. Assembly runs outside the state lock; concurrent
-    /// first requests may each build, but the first to publish wins and the
-    /// rest adopt it, so every caller sees the same [`FullDataset`].
+    /// files; the first count projects it ([`Snapshot::projected`]). Both
+    /// are cached, so subsequent calls (for any shard) reuse them. Assembly
+    /// runs outside the state lock; concurrent first requests may each
+    /// load, but the first to publish wins and the rest adopt its snapshot,
+    /// whose projection is then built once while the others wait for it.
     pub fn count_shard(&self, shard: usize, threads: usize) -> Result<ShardPartial, String> {
-        let full = self.assemble(threads)?;
+        let full = self.assemble()?;
+        let (Some(hypergraph), Some(projected)) =
+            (full.hypergraph.as_deref(), full.projected(threads))
+        else {
+            return Err("assembling shard family: it holds no hyperedges".to_string());
+        };
         count_shard_partial(
-            &full.hypergraph,
-            &full.projected,
+            hypergraph,
+            projected,
             self.manifest.num_shards(),
             shard,
             threads,
@@ -139,7 +141,7 @@ impl WorkerState {
     }
 
     /// The cached full dataset, if one has been published.
-    fn cached(&self) -> Option<Arc<FullDataset>> {
+    fn cached(&self) -> Option<Arc<Snapshot>> {
         self.full
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -147,31 +149,22 @@ impl WorkerState {
             .map(Arc::clone)
     }
 
-    fn assemble(&self, threads: usize) -> Result<Arc<FullDataset>, String> {
+    fn assemble(&self) -> Result<Arc<Snapshot>, String> {
         if let Some(full) = self.cached() {
             return Ok(full);
         }
-        // Load and project with no lock held — this is seconds of IO and CPU
-        // on a large family, and a held guard would stall health checks. If
-        // two first requests race, both build, the first to publish wins and
-        // the loser adopts the published copy.
+        // Load with no lock held — this is seconds of IO on a large family,
+        // and a held guard would stall health checks. If two first requests
+        // race, both load, the first to publish wins and the loser adopts
+        // the published copy.
         let sharded = load_sharded(&self.stem)
             .map_err(|error| format!("assembling shard family: {error}"))?;
         let hypergraph = sharded
             .assemble()
             .map_err(|error| format!("assembling shard family: {error}"))?;
-        let projected = if threads > 1 {
-            project_parallel(&hypergraph, threads)
-        } else {
-            project(&hypergraph)
-        };
-        let built = Arc::new(FullDataset {
-            hypergraph,
-            projected,
-        });
+        let built = Arc::new(Snapshot::new(0, Some(Arc::new(hypergraph))));
         let mut slot = self.full.lock().unwrap_or_else(PoisonError::into_inner);
-        let full = slot.get_or_insert_with(|| Arc::clone(&built));
-        Ok(Arc::clone(full))
+        Ok(Arc::clone(slot.get_or_insert(built)))
     }
 }
 
@@ -180,7 +173,8 @@ mod tests {
     use super::*;
     use mochy_core::shard::{count_sharded, merge_partials};
     use mochy_core::{mochy_e, MotifCounts};
-    use mochy_hypergraph::{write_shards, HypergraphBuilder};
+    use mochy_hypergraph::{write_shards, Hypergraph, HypergraphBuilder};
+    use mochy_projection::project;
 
     fn sample_hypergraph() -> Hypergraph {
         let mut builder = HypergraphBuilder::new();

@@ -178,9 +178,28 @@ fn all_routes_answer_over_tcp() {
         datasets[0].get("num_edges").and_then(JsonValue::as_f64),
         Some(4.0)
     );
+    // Nothing has counted yet, so no projection is resident.
+    assert_eq!(
+        datasets[0].get("projected").and_then(JsonValue::as_bool),
+        Some(false)
+    );
+    assert_eq!(datasets[0].get("num_hyperwedges"), Some(&JsonValue::Null));
 
     let count = request(addr, "POST", "/count", r#"{"dataset": "fig2"}"#);
     assert_eq!(count.status, 200, "{}", count.body);
+    let listing = request(addr, "GET", "/v1/datasets", "");
+    let doc = json::parse(&listing.body).unwrap();
+    let datasets = doc.get("datasets").unwrap().as_array().unwrap();
+    assert_eq!(
+        datasets[0].get("projected").and_then(JsonValue::as_bool),
+        Some(true)
+    );
+    assert_eq!(
+        datasets[0]
+            .get("num_hyperwedges")
+            .and_then(JsonValue::as_f64),
+        Some(4.0)
+    );
     let doc = json::parse(&count.body).unwrap();
     assert_eq!(doc.get("total").and_then(JsonValue::as_f64), Some(3.0));
     assert_eq!(
